@@ -3,7 +3,7 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload power-hot --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload power-hot --seed 1 --seconds 20 --trace 0
 
 Everything the build and the run write goes under .bench_build/ in the
 current directory: the Go build cache, the binary, cached golden answers and

@@ -40,7 +40,7 @@ var workloads = []workload{
 	// cache is warm, so compile and decode drop out. This isolates exec and
 	// expression evaluation, DXchg and GC, which profile at about 30% (Q01
 	// expressions), 26% (exchange) and 11% (GC marking) of CPU. A pass takes
-	// roughly 200 ms, so a 15 s window gives each query ~70 samples.
+	// roughly 200 ms, so a 20 s window gives each query ~100 samples.
 	{name: "power-hot", sf: 0.01, setups: 3, probePairs: 200},
 
 	// power-evict: SF 0.1 (600k lineitem rows). The decoded working set is
@@ -49,7 +49,7 @@ var workloads = []workload{
 	// so colstore/compress scan decode does real work, and bulk load takes
 	// about 10 s against 1 s at SF 0.01. A change that buys speed with cache
 	// footprint or decode work shows here and not on power-hot.
-	{name: "power-evict", sf: 0.1, setups: 2, probePairs: 10},
+	{name: "power-evict", sf: 0.1, setups: 2, probePairs: 12},
 
 	// serve-refresh: SF 0.01 behind vectorh-serve's server on loopback TCP,
 	// two sessions (one per core of the 2-core reference box). Reads are

@@ -99,6 +99,16 @@ func TestHotPathAllocGolden(t *testing.T) {
 	runGolden(t, lint.HotPathAlloc, "hotpathalloc", "vectorh/internal/exec")
 }
 
+func TestHotPathAllocGoldenMPI(t *testing.T) {
+	runGolden(t, lint.HotPathAlloc, "hotpathalloc", "vectorh/internal/mpi")
+}
+
+// TestHotPathAllocDXchgFileOnly checks the file scope in internal/mpp: the
+// golden dxchg.go must fire, its sibling with the same smells must not.
+func TestHotPathAllocDXchgFileOnly(t *testing.T) {
+	runGolden(t, lint.HotPathAlloc, "hotpathfile", "vectorh/internal/mpp")
+}
+
 func TestHotPathAllocScanFileOnly(t *testing.T) {
 	// The same sources under a non-hot-path package path must be clean: the
 	// analyzer is scoped, not global.

@@ -20,11 +20,13 @@ func isLibraryPkg(pkgPath string) bool {
 }
 
 // isHotPathPkg reports whether the whole package is per-batch hot-path code:
-// internal/vector and internal/exec process millions of batches per query, so
-// PR 2's no-map[string]/no-Sprintf regression guard applies to every file.
+// internal/vector and internal/exec process millions of batches per query,
+// and internal/mpi encodes and decodes every remote exchange row, so the
+// no-map[string]/no-Sprintf regression guard applies to every file.
 func isHotPathPkg(pkgPath string) bool {
 	return strings.HasSuffix(pkgPath, "internal/vector") ||
-		strings.HasSuffix(pkgPath, "internal/exec")
+		strings.HasSuffix(pkgPath, "internal/exec") ||
+		strings.HasSuffix(pkgPath, "internal/mpi")
 }
 
 // isHotPathFile reports whether one file of a package is hot-path code even
@@ -32,7 +34,8 @@ func isHotPathPkg(pkgPath string) bool {
 // to cold catalog code (whose map[string] tables are fine), and the
 // code-space accessors of internal/compress (dictionary handles, frame
 // bounds, ranged decode) run per block inside the scan while the encoders
-// around them are load-path code.
+// around them are load-path code. In internal/mpp, dxchg.go holds the DXchg
+// senders and receivers that route every exchanged row.
 func isHotPathFile(pkgPath, filename string) bool {
 	switch {
 	case strings.HasSuffix(pkgPath, "internal/core"):
@@ -42,6 +45,8 @@ func isHotPathFile(pkgPath, filename string) bool {
 		}
 	case strings.HasSuffix(pkgPath, "internal/compress"):
 		return path.Base(filename) == "codes.go"
+	case strings.HasSuffix(pkgPath, "internal/mpp"):
+		return path.Base(filename) == "dxchg.go"
 	}
 	return false
 }

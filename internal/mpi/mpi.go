@@ -6,12 +6,16 @@
 // cost model, and the intra-node optimization of passing batch pointers
 // instead of serialized buffers ("for intra-node communication we only send
 // pointers to sender-side buffers").
+//
+// The package owns the wire format (wire.go). A sender bound for a remote
+// rank encodes rows into a Wire straight from its producer's vectors under
+// the routing selection and ships the flushed, exact-size message with
+// SendEncoded; Comm.Local tells it which ranks take the pointer handoff
+// instead. EncodeBatch is the same encoder applied to one whole batch, and
+// DecodeBatch is its bounds-checked inverse.
 package mpi
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -95,28 +99,33 @@ func (n *Network) NewComm(ranks, senders int, rankNode func(int) int) *Comm {
 	return c
 }
 
-// Send delivers a batch from a sender residing on fromNode to a rank. Local
-// destinations receive the batch pointer; remote destinations receive the
-// serialized buffer (accounted as network traffic). Serialization happens
-// here, so callers pass the batch either way.
-func (c *Comm) Send(fromNode, toRank int, b *vector.Batch) {
-	c.SendQuit(fromNode, toRank, b, nil)
+// Local reports whether toRank resides on fromNode, i.e. whether a send
+// between them is a pointer handoff rather than a serialized message.
+func (c *Comm) Local(fromNode, toRank int) bool { return c.rankOf(toRank) == fromNode }
+
+// SendQuit delivers a batch from a sender residing on fromNode to a rank,
+// giving up when quit closes (query cancellation): inbox capacity is
+// bounded, so without it an abandoned exchange would leave senders blocked
+// forever. A local destination receives the batch pointer; a remote one
+// receives EncodeBatch of it. It reports whether the message was delivered.
+func (c *Comm) SendQuit(fromNode, toRank int, b *vector.Batch, quit <-chan struct{}) bool {
+	if !c.Local(fromNode, toRank) {
+		return c.SendEncoded(fromNode, toRank, EncodeBatch(b), quit)
+	}
+	c.net.localPasses.Add(1)
+	select {
+	case c.inboxes[toRank] <- Message{From: fromNode, Local: b}:
+		return true
+	case <-quit:
+		return false
+	}
 }
 
-// SendQuit is Send that gives up when quit closes (query cancellation):
-// inbox capacity is bounded, so without it an abandoned exchange would leave
-// senders blocked forever. It reports whether the message was delivered.
-func (c *Comm) SendQuit(fromNode, toRank int, b *vector.Batch, quit <-chan struct{}) bool {
-	if c.rankOf(toRank) == fromNode {
-		c.net.localPasses.Add(1)
-		select {
-		case c.inboxes[toRank] <- Message{From: fromNode, Local: b}:
-			return true
-		case <-quit:
-			return false
-		}
-	}
-	data := EncodeBatch(b)
+// SendEncoded delivers an already-encoded message (a Wire flush or
+// EncodeBatch output), accounted as network traffic. It gives up when quit
+// closes and reports whether the message was delivered. The receiver only
+// reads data, so one message may go to several ranks.
+func (c *Comm) SendEncoded(fromNode, toRank int, data []byte, quit <-chan struct{}) bool {
 	c.net.remoteBytes.Add(int64(len(data)))
 	c.net.remoteMsgs.Add(1)
 	select {
@@ -164,123 +173,4 @@ func (m *Message) Batch() (*vector.Batch, error) {
 		return m.Local, nil
 	}
 	return DecodeBatch(m.Data)
-}
-
-// EncodeBatch serializes a batch in a PAX-like layout: per column a kind
-// byte, a row count and the packed values, "such that Receivers can return
-// vectors directly out of these buffers".
-func EncodeBatch(b *vector.Batch) []byte {
-	c := b.Compact()
-	out := binary.AppendUvarint(nil, uint64(len(c.Vecs)))
-	out = binary.AppendUvarint(out, uint64(c.Len()))
-	for _, v := range c.Vecs {
-		out = append(out, byte(v.Kind()))
-		switch v.Kind() {
-		case vector.Int64:
-			for _, x := range v.Int64s() {
-				out = binary.LittleEndian.AppendUint64(out, uint64(x))
-			}
-		case vector.Int32:
-			for _, x := range v.Int32s() {
-				out = binary.LittleEndian.AppendUint32(out, uint32(x))
-			}
-		case vector.Float64:
-			for _, x := range v.Float64s() {
-				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
-			}
-		case vector.String:
-			for _, s := range v.Strings() {
-				out = binary.AppendUvarint(out, uint64(len(s)))
-				out = append(out, s...)
-			}
-		case vector.Bool:
-			for _, x := range v.Bools() {
-				if x {
-					out = append(out, 1)
-				} else {
-					out = append(out, 0)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// DecodeBatch inverts EncodeBatch.
-func DecodeBatch(data []byte) (*vector.Batch, error) {
-	nc, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return nil, fmt.Errorf("mpi: bad batch header")
-	}
-	data = data[sz:]
-	n, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return nil, fmt.Errorf("mpi: bad batch header")
-	}
-	data = data[sz:]
-	b := &vector.Batch{Vecs: make([]*vector.Vec, nc)}
-	for ci := uint64(0); ci < nc; ci++ {
-		if len(data) < 1 {
-			return nil, fmt.Errorf("mpi: truncated batch")
-		}
-		kind := vector.Kind(data[0])
-		data = data[1:]
-		switch kind {
-		case vector.Int64:
-			if uint64(len(data)) < n*8 {
-				return nil, fmt.Errorf("mpi: truncated int64 column")
-			}
-			vals := make([]int64, n)
-			for i := range vals {
-				vals[i] = int64(binary.LittleEndian.Uint64(data[i*8:]))
-			}
-			data = data[n*8:]
-			b.Vecs[ci] = vector.FromInt64(vals)
-		case vector.Int32:
-			if uint64(len(data)) < n*4 {
-				return nil, fmt.Errorf("mpi: truncated int32 column")
-			}
-			vals := make([]int32, n)
-			for i := range vals {
-				vals[i] = int32(binary.LittleEndian.Uint32(data[i*4:]))
-			}
-			data = data[n*4:]
-			b.Vecs[ci] = vector.FromInt32(vals)
-		case vector.Float64:
-			if uint64(len(data)) < n*8 {
-				return nil, fmt.Errorf("mpi: truncated float column")
-			}
-			vals := make([]float64, n)
-			for i := range vals {
-				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-			}
-			data = data[n*8:]
-			b.Vecs[ci] = vector.FromFloat64(vals)
-		case vector.String:
-			vals := make([]string, n)
-			for i := range vals {
-				l, sz := binary.Uvarint(data)
-				if sz <= 0 || uint64(len(data)-sz) < l {
-					return nil, fmt.Errorf("mpi: truncated string column")
-				}
-				data = data[sz:]
-				vals[i] = string(data[:l])
-				data = data[l:]
-			}
-			b.Vecs[ci] = vector.FromString(vals)
-		case vector.Bool:
-			if uint64(len(data)) < n {
-				return nil, fmt.Errorf("mpi: truncated bool column")
-			}
-			vals := make([]bool, n)
-			for i := range vals {
-				vals[i] = data[i] != 0
-			}
-			data = data[n:]
-			b.Vecs[ci] = vector.FromBool(vals)
-		default:
-			return nil, fmt.Errorf("mpi: unknown column kind %d", kind)
-		}
-	}
-	return b, nil
 }

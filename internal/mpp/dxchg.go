@@ -10,8 +10,12 @@
 //     per-node dispatcher lets consumer threads selectively consume, which
 //     is what keeps VectorH scalable to ~100 nodes.
 //
-// Exchanges ride on the mpi package: remote sends serialize into ≥MsgBytes
-// buffers, intra-node sends pass pointers.
+// Exchanges ride on the mpi package. A sender keeps one buffer per
+// destination: for a remote rank it encodes each routed row group straight
+// from the producer's vectors into an mpi.Wire and ships the exact-size
+// message once MsgBytes are buffered; for a rank on its own node it gathers
+// the rows into vectors sized for a full message and passes the batch
+// pointer. The wire layout itself is mpi's.
 package mpp
 
 import (
@@ -125,73 +129,108 @@ func (e *Exchange) bufDelta(d int) {
 	}
 }
 
-// sendBuffer accumulates rows destined for one rank until flush.
+// sendBuffer accumulates rows bound for its ranks until a flush. Rows for
+// remote ranks are encoded on arrival into an mpi.Wire, straight from the
+// producer's vectors under the routing selection, so no intermediate batch
+// is built for them. Rows for local ranks are gathered into vectors that are
+// handed over by pointer. bytes is what the buffer holds: encoded bytes, or
+// the gathered payload with dictionary strings materialized.
 type sendBuffer struct {
-	vecs  []*vector.Vec
-	bytes int
+	ranks  []int // every flushed message goes to each of these
+	remote bool
+	wire   mpi.Wire      // remote: the message under construction
+	vecs   []*vector.Vec // local: the batch under construction
+	// msgRows is the row count of the last local message, so the next one
+	// is allocated at full size instead of growing to it.
+	msgRows int
+	rows    int
+	bytes   int
 }
 
-// init lays out the buffer's vectors to mirror src (plus the receiver-thread
-// column in thread-to-node mode).
-func (sb *sendBuffer) init(src *vector.Batch, withExtra bool) {
-	for _, v := range src.Vecs {
-		sb.vecs = append(sb.vecs, vector.New(v.Kind(), 256))
+// add buffers the rows of src that sel selects (physical positions; nil
+// selects every row), tagging each with the receiver thread when tagged is
+// set. Routing is batch-wise: the caller groups a batch's rows per
+// destination once and adds each group column by column.
+func (sb *sendBuffer) add(e *Exchange, src *vector.Batch, sel []int32, thread int32, tagged bool) {
+	if len(src.Vecs) == 0 {
+		return // rows without columns carry nothing
 	}
-	if withExtra {
-		// The receiver-thread column (one byte per tuple in the paper; an
-		// int32 here — the accounting difference is noted in DESIGN.md).
-		sb.vecs = append(sb.vecs, vector.New(vector.Int32, 256))
+	n := len(sel)
+	if sel == nil {
+		n = src.Vecs[0].Len()
 	}
+	var delta int
+	switch {
+	case sb.remote && tagged:
+		delta = sb.wire.AppendTagged(src.Vecs, sel, thread)
+	case sb.remote:
+		delta = sb.wire.Append(src.Vecs, sel)
+	default:
+		delta = sb.gather(src.Vecs, sel, n, thread, tagged)
+	}
+	sb.rows += n
+	sb.bytes += delta
+	e.bufDelta(delta)
 }
 
-// addGather bulk-appends the selected rows of src, tagging each with the
-// receiver thread when withExtra is set. Routing is batch-wise: the caller
-// groups a batch's rows per destination once and appends each group with one
-// gather per column, so the sender's cost is O(rows·cols) appends with byte
-// accounting per group — not a full buffer re-sum per row, which dominated
-// exchange-heavy profiles.
-func (sb *sendBuffer) addGather(e *Exchange, src *vector.Batch, sel []int32, thread int32, withExtra bool) {
+// gather appends n selected rows to the local batch and returns the bytes
+// they add.
+func (sb *sendBuffer) gather(vecs []*vector.Vec, sel []int32, n int, thread int32, tagged bool) int {
 	if sb.vecs == nil {
-		sb.init(src, withExtra)
+		capHint := max(sb.msgRows, n)
+		for _, v := range vecs {
+			sb.vecs = append(sb.vecs, vector.New(v.Kind(), capHint))
+		}
+		if tagged {
+			// The receiver-thread column: one byte per tuple in the paper, an
+			// int32 here, charged at 4 bytes.
+			sb.vecs = append(sb.vecs, vector.New(vector.Int32, capHint))
+		}
 	}
 	delta := 0
-	for i, v := range src.Vecs {
-		sb.vecs[i].AppendGather(v, sel)
+	for i, v := range vecs {
+		if sel == nil {
+			sb.vecs[i].AppendRange(v, 0, n)
+		} else {
+			sb.vecs[i].AppendGather(v, sel)
+		}
 		delta += v.GatherBytes(sel)
 	}
-	if withExtra {
-		tv := sb.vecs[len(sb.vecs)-1]
-		for range sel {
+	if tagged {
+		tv := sb.vecs[len(vecs)]
+		for range n {
 			tv.AppendInt32(thread)
 		}
-		delta += len(sel) * 4
+		delta += 4 * n
 	}
-	sb.bytes += delta
-	e.bufDelta(delta)
+	return delta
 }
 
-// addAll bulk-appends every row of a dense (Sel-free) batch.
-func (sb *sendBuffer) addAll(e *Exchange, src *vector.Batch) {
-	if sb.vecs == nil {
-		sb.init(src, false)
+// flush sends the buffered rows, if any, to every rank of the buffer. It
+// reports false when the exchange stopped first.
+func (sb *sendBuffer) flush(e *Exchange, comm *mpi.Comm, node int) bool {
+	if sb.rows == 0 {
+		return true
 	}
-	delta := 0
-	for i, v := range src.Vecs {
-		sb.vecs[i].AppendRange(v, 0, v.Len())
-		delta += v.Bytes()
-	}
-	sb.bytes += delta
-	e.bufDelta(delta)
-}
-
-func (sb *sendBuffer) take(e *Exchange) *vector.Batch {
-	if sb.vecs == nil || sb.vecs[0].Len() == 0 {
-		return nil
+	e.bufDelta(-sb.bytes)
+	sb.rows, sb.bytes = 0, 0
+	if sb.remote {
+		msg := sb.wire.Flush()
+		for _, r := range sb.ranks {
+			if !comm.SendEncoded(node, r, msg, e.quit) {
+				return false
+			}
+		}
+		return true
 	}
 	b := &vector.Batch{Vecs: sb.vecs}
-	e.bufDelta(-sb.bytes)
-	sb.vecs, sb.bytes = nil, 0
-	return b
+	sb.vecs, sb.msgRows = nil, b.Len()
+	for _, r := range sb.ranks {
+		if !comm.SendQuit(node, r, b, e.quit) {
+			return false
+		}
+	}
+	return true
 }
 
 // recvPort is a consumer stream endpoint fed by a channel.
@@ -324,7 +363,7 @@ func newSplit(cfg Config, producers [][]exec.Operator, consumersPerNode []int,
 					if !ok {
 						return
 					}
-					forward(queues[s], m, ex.quit)
+					deliver(queues[s], received(m), ex.quit)
 				}
 			}(s)
 		}
@@ -348,15 +387,14 @@ func newSplit(cfg Config, producers [][]exec.Operator, consumersPerNode []int,
 					if !ok {
 						return
 					}
-					b, err := m.Batch()
-					if err != nil {
-						select {
-						case queues[streamBase[n]] <- portItem{err: err}:
-						case <-ex.quit:
-						}
+					it := received(m)
+					if it.err != nil {
+						// Errors (decode failures and transported producer
+						// errors alike) carry no thread column.
+						deliver(queues[streamBase[n]], it, ex.quit)
 						continue
 					}
-					dispatchByThreadCol(b, queues, streamBase[n], consumersPerNode[n], ex.quit)
+					dispatchByThreadCol(it.b, queues, streamBase[n], consumersPerNode[n], ex.quit)
 				}
 			}(n)
 		}
@@ -391,9 +429,12 @@ func runSplitSender(ex *Exchange, comm *mpi.Comm, node int, p exec.Operator,
 	} else {
 		bufs = make([]sendBuffer, len(consumersPerNode))
 	}
+	for d := range bufs {
+		bufs[d] = sendBuffer{ranks: []int{d}, remote: !comm.Local(node, d)}
+	}
 	// Per-stream routing tables and reusable selection lists: rows of each
-	// batch are grouped by destination stream first, then appended buffer-wise
-	// with one gather per column.
+	// batch are grouped by destination stream first, then added buffer-wise
+	// column by column.
 	destOf := make([]int, totalStreams)
 	threadOf := make([]int32, totalStreams)
 	for s := 0; s < totalStreams; s++ {
@@ -441,7 +482,7 @@ func runSplitSender(ex *Exchange, comm *mpi.Comm, node int, p exec.Operator,
 		for i := range sels {
 			sels[i] = sels[i][:0]
 		}
-		for r := 0; r < b.Len(); r++ {
+		for r, n := 0, b.Len(); r < n; r++ {
 			stream := int(rvals[r] % uint64(totalStreams))
 			phys := int32(r)
 			if b.Sel != nil {
@@ -453,20 +494,16 @@ func runSplitSender(ex *Exchange, comm *mpi.Comm, node int, p exec.Operator,
 			if len(sel) == 0 {
 				continue
 			}
-			d := destOf[s]
-			bufs[d].addGather(ex, b, sel, threadOf[s], !t2t)
-			if bufs[d].bytes >= ex.cfg.msgBytes() {
-				if !comm.SendQuit(node, d, bufs[d].take(ex), ex.quit) {
-					return
-				}
+			sb := &bufs[destOf[s]]
+			sb.add(ex, b, sel, threadOf[s], !t2t)
+			if sb.bytes >= ex.cfg.msgBytes() && !sb.flush(ex, comm, node) {
+				return
 			}
 		}
 	}
 	for d := range bufs {
-		if b := bufs[d].take(ex); b != nil {
-			if !comm.SendQuit(node, d, b, ex.quit) {
-				return
-			}
+		if !bufs[d].flush(ex, comm, node) {
+			return
 		}
 	}
 }
@@ -500,16 +537,21 @@ func dispatchByThreadCol(b *vector.Batch, queues []chan portItem, base, threads 
 	}
 }
 
-func forward(q chan portItem, m mpi.Message, quit <-chan struct{}) {
+// received turns a message into a port item, surfacing a transported
+// producer error as the item's error.
+func received(m mpi.Message) portItem {
 	b, err := m.Batch()
-	it := portItem{b: b, err: err}
 	if err == nil {
-		if eb := asErrBatch(b); eb != nil {
-			it = portItem{err: eb}
-		}
-	} else {
-		it = portItem{err: err}
+		err = asErrBatch(b)
 	}
+	if err != nil {
+		return portItem{err: err}
+	}
+	return portItem{b: b}
+}
+
+// deliver queues an item for a consumer stream unless the exchange stops.
+func deliver(q chan portItem, it portItem, quit <-chan struct{}) {
 	select {
 	case q <- it:
 	case <-quit:
@@ -539,7 +581,7 @@ func DXchgUnion(cfg Config, producers [][]exec.Operator, consumerNode int) (exec
 			if !ok {
 				return
 			}
-			forward(q, m, ex.quit)
+			deliver(q, received(m), ex.quit)
 		}
 	}()
 	return ex.newPort(q), ex
@@ -564,14 +606,12 @@ func DXchgBroadcast(cfg Config, producers [][]exec.Operator, consumersPerNode []
 			go runForwardSender(ex, comm, pn, p, dests)
 		}
 	}
-	queues := make([]chan portItem, 0)
 	ports := make([][]exec.Operator, len(consumersPerNode))
 	for n, c := range consumersPerNode {
 		nodeQueues := make([]chan portItem, c)
 		for t := 0; t < c; t++ {
 			q := make(chan portItem, 4)
 			nodeQueues[t] = q
-			queues = append(queues, q)
 			ports[n] = append(ports[n], ex.newPort(q))
 		}
 		go func(n int, nodeQueues []chan portItem) {
@@ -585,13 +625,7 @@ func DXchgBroadcast(cfg Config, producers [][]exec.Operator, consumersPerNode []
 				if !ok {
 					return
 				}
-				b, err := m.Batch()
-				it := portItem{b: b}
-				if err != nil {
-					it = portItem{err: err}
-				} else if eb := asErrBatch(b); eb != nil {
-					it = portItem{err: eb}
-				}
+				it := received(m)
 				for _, q := range nodeQueues {
 					select {
 					case q <- it:
@@ -602,52 +636,56 @@ func DXchgBroadcast(cfg Config, producers [][]exec.Operator, consumersPerNode []
 			}
 		}(n, nodeQueues)
 	}
-	_ = queues
 	return ports, ex
 }
 
 // runForwardSender buffers batches and sends them whole to a list of
-// destination ranks (union: one; broadcast: all).
+// destination ranks (union: one; broadcast: all). Local and remote ranks
+// get one buffer each, so every row is gathered at most once and encoded at
+// most once whatever the fan-out.
 func runForwardSender(ex *Exchange, comm *mpi.Comm, node int, p exec.Operator, dests []int) {
 	defer comm.DoneSending()
-	var buf sendBuffer
+	bufs := []sendBuffer{{}, {remote: true}}
+	for _, d := range dests {
+		i := 0
+		if !comm.Local(node, d) {
+			i = 1
+		}
+		bufs[i].ranks = append(bufs[i].ranks, d)
+	}
+	fail := func(err error) { comm.SendQuit(node, dests[0], errBatch(err), ex.quit) }
 	if err := p.Open(); err != nil {
-		comm.SendQuit(node, dests[0], errBatch(err), ex.quit)
+		fail(err)
 		return
 	}
 	defer p.Close()
 	for {
 		if err := ex.ctx.Err(); err != nil {
-			comm.SendQuit(node, dests[0], errBatch(fmt.Errorf("mpp: sender canceled: %w", context.Cause(ex.ctx))), ex.quit)
+			fail(fmt.Errorf("mpp: sender canceled: %w", context.Cause(ex.ctx)))
 			return
 		}
 		b, err := p.Next()
 		if err != nil {
-			comm.SendQuit(node, dests[0], errBatch(err), ex.quit)
+			fail(err)
 			return
 		}
 		if b == nil {
 			break
 		}
-		if b.Sel == nil {
-			buf.addAll(ex, b)
-		} else {
-			buf.addGather(ex, b, b.Sel, 0, false)
-		}
-		if buf.bytes >= ex.cfg.msgBytes() {
-			out := buf.take(ex)
-			for _, d := range dests {
-				if !comm.SendQuit(node, d, out, ex.quit) {
-					return
-				}
+		for i := range bufs {
+			sb := &bufs[i]
+			if len(sb.ranks) == 0 {
+				continue
+			}
+			sb.add(ex, b, b.Sel, 0, false)
+			if sb.bytes >= ex.cfg.msgBytes() && !sb.flush(ex, comm, node) {
+				return
 			}
 		}
 	}
-	if out := buf.take(ex); out != nil {
-		for _, d := range dests {
-			if !comm.SendQuit(node, d, out, ex.quit) {
-				return
-			}
+	for i := range bufs {
+		if !bufs[i].flush(ex, comm, node) {
+			return
 		}
 	}
 }

@@ -1,10 +1,14 @@
 package mpp
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"vectorh/internal/compress"
 	"vectorh/internal/exec"
 	"vectorh/internal/expr"
 	"vectorh/internal/mpi"
@@ -199,48 +203,121 @@ func (failOp) Next() (*vector.Batch, error) { return nil, errors.New("producer e
 func (failOp) Close() error                 { return nil }
 
 func TestDXchgPropagatesProducerErrors(t *testing.T) {
-	net := mpi.NewNetwork(2)
-	producers := [][]exec.Operator{{failOp{}}, {producer(0, 10)}}
-	ports, _ := DXchgHashSplit(Config{Net: net, MsgBytes: 512}, producers,
-		[]expr.Expr{expr.Col(0, vector.Int64)}, []int{1, 1})
-	var sawErr bool
-	var wg sync.WaitGroup
-	for _, nodePorts := range ports {
-		for _, p := range nodePorts {
-			wg.Add(1)
-			go func(p exec.Operator) {
-				defer wg.Done()
-				if _, err := exec.Collect(p); err != nil {
-					sawErr = true
-				}
-			}(p)
+	testBothModes(t, func(t *testing.T, mode Mode) {
+		net := mpi.NewNetwork(2)
+		producers := [][]exec.Operator{{failOp{}}, {producer(0, 10)}}
+		ports, _ := DXchgHashSplit(Config{Net: net, Mode: mode, MsgBytes: 512}, producers,
+			[]expr.Expr{expr.Col(0, vector.Int64)}, []int{1, 1})
+		var sawErr atomic.Bool
+		var wg sync.WaitGroup
+		for _, nodePorts := range ports {
+			for _, p := range nodePorts {
+				wg.Add(1)
+				go func(p exec.Operator) {
+					defer wg.Done()
+					if _, err := exec.Collect(p); err != nil {
+						sawErr.Store(true)
+					}
+				}(p)
+			}
 		}
-	}
-	wg.Wait()
-	if !sawErr {
-		t.Fatal("producer error not delivered to any consumer")
-	}
+		wg.Wait()
+		if !sawErr.Load() {
+			t.Fatal("producer error not delivered to any consumer")
+		}
+	})
 }
 
-func TestEncodeDecodeBatchRoundTrip(t *testing.T) {
-	b := vector.NewBatch(
-		vector.FromInt64([]int64{-1, 2, 1 << 40}),
-		vector.FromInt32([]int32{7, -8, 9}),
-		vector.FromFloat64([]float64{1.5, -2.5, 0}),
-		vector.FromString([]string{"", "abc", "日本"}),
-		vector.FromBool([]bool{true, false, true}),
-	)
-	b.Sel = []int32{2, 0}
-	got, err := mpi.DecodeBatch(mpi.EncodeBatch(b))
+// dictProducer emits dictionary-coded 60-byte strings: one dense batch of
+// rows values and the same vector under a selection of every other row. It
+// also returns the bytes those rows take once gathered into plain vectors.
+func dictProducer(rows int) (exec.Operator, int) {
+	dict := &compress.StrDict{}
+	for i := 0; i < 4; i++ {
+		dict.Values = append(dict.Values, strings.Repeat(string(rune('a'+i)), 60))
+	}
+	codes := make([]uint32, rows)
+	for i := range codes {
+		codes[i] = uint32(i % len(dict.Values))
+	}
+	dense := vector.NewBatch(vector.FromDictCodes(codes, dict))
+	sel := vector.NewBatch(vector.FromDictCodes(codes, dict))
+	for i := 0; i < rows; i += 2 {
+		sel.Sel = append(sel.Sel, int32(i))
+	}
+	held := (rows + len(sel.Sel)) * (60 + 16)
+	return &exec.BatchSource{Batches: []*vector.Batch{dense, sel}}, held
+}
+
+// TestSendBufferChargesMaterializedStrings checks that a local send buffer
+// is charged for the strings it holds: gathering dictionary codes
+// materializes the values, so charging 4 bytes per code would let local
+// messages overshoot MsgBytes many times over.
+func TestSendBufferChargesMaterializedStrings(t *testing.T) {
+	p, held := dictProducer(1024)
+	u, ex := DXchgUnion(Config{Net: mpi.NewNetwork(1), MsgBytes: 1 << 20}, [][]exec.Operator{{p}}, 0)
+	rows, err := exec.Collect(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 || got.Row(0)[0].(int64) != 1<<40 || got.Row(1)[3].(string) != "" {
-		t.Fatalf("round trip = %v %v", got.Row(0), got.Row(1))
+	if len(rows) != 1024+512 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	if _, err := mpi.DecodeBatch([]byte{1, 2}); err == nil {
-		t.Fatal("garbage should fail to decode")
+	if got := ex.Stats().PeakBufferBytes; got != int64(held) {
+		t.Fatalf("peak buffer = %d bytes, want the %d held", got, held)
 	}
+}
+
+// TestRemoteSendIsEncodeBatchOfGatheredRows runs a split sender with one
+// local and one remote destination. The remote rank's message, encoded
+// straight from the producer's vectors, must be byte-identical to
+// EncodeBatch of the same rows gathered into a batch; the local rank must
+// still get a pointer handoff.
+func TestRemoteSendIsEncodeBatchOfGatheredRows(t *testing.T) {
+	testBothModes(t, func(t *testing.T, mode Mode) {
+		dict := &compress.StrDict{Values: []string{"MAIL", "AIR", "REG AIR"}}
+		src := vector.NewBatch(
+			vector.FromInt64([]int64{10, 11, 12, 13, 14, 15}),
+			vector.FromDictCodes([]uint32{0, 1, 2, 0, 1, 2}, dict),
+			vector.FromFloat64([]float64{0.5, 1.5, 2.5, 3.5, 4.5, 5.5}),
+		)
+		src.Sel = []int32{0, 1, 3, 4, 5}
+		// Rows with an odd key go to stream 1, on the remote node.
+		route := func(b *vector.Batch, _ []uint64) ([]uint64, error) {
+			out := make([]uint64, b.Len())
+			for r := range out {
+				out[r] = uint64(b.Vecs[0].Int64s()[b.Sel[r]] % 2)
+			}
+			return out, nil
+		}
+		streamNode := []int{0, 1}
+		net := mpi.NewNetwork(2)
+		ex := newExchange(Config{Net: net, Mode: mode, MsgBytes: 1 << 20})
+		// Two ranks either way: streams in thread-to-thread mode, nodes in
+		// thread-to-node mode, with one consumer per node.
+		comm := net.NewComm(2, 1, func(r int) int { return streamNode[r] })
+		runSplitSender(ex, comm, 0, &exec.BatchSource{Batches: []*vector.Batch{src}}, 2, streamNode, []int{1, 1}, route)
+
+		want := &vector.Batch{Vecs: src.Vecs, Sel: []int32{1, 3, 5}}
+		if mode == ThreadToNode {
+			// The receiver-thread column: thread 0 of node 1.
+			want.Vecs = append(want.Vecs[:len(src.Vecs):len(src.Vecs)], vector.FromInt32(make([]int32, 6)))
+		}
+		remote, ok := comm.Recv(1)
+		if !ok || remote.Local != nil {
+			t.Fatalf("remote rank got %+v, want an encoded message", remote)
+		}
+		if enc := mpi.EncodeBatch(want.Compact()); !bytes.Equal(remote.Data, enc) {
+			t.Fatalf("remote message\n% x\nwant EncodeBatch of the gathered rows\n% x", remote.Data, enc)
+		}
+		local, ok := comm.Recv(0)
+		if !ok || local.Local == nil || local.Local.Len() != 2 {
+			t.Fatalf("local rank got %+v, want a 2-row pointer handoff", local)
+		}
+		if s := net.Stats(); s.RemoteMsgs != 1 || s.LocalHandoffs != 1 || s.RemoteBytes != int64(len(remote.Data)) {
+			t.Fatalf("traffic = %+v", s)
+		}
+	})
 }
 
 func BenchmarkDXchgFanout(b *testing.B) {

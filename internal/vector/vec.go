@@ -395,24 +395,32 @@ func (v *Vec) Slice(lo, hi int) *Vec {
 }
 
 // GatherBytes estimates the payload bytes of the elements sel selects —
-// what AppendGather(src, sel) would add to a destination, under the same
-// accounting as Bytes. Negative (padding) indices count as zero values.
+// what AppendGather(src, sel) would add to a destination, or, for a nil sel,
+// what AppendRange over the whole vector would add — under the same
+// accounting as Bytes. Both materialize dictionary strings in the
+// destination, so those count at their full length. Negative (padding)
+// indices count as zero values.
 func (v *Vec) GatherBytes(sel []int32) int {
-	if v.kind == String {
-		if v.dict != nil {
-			// Codes stay codes through a gather: 4 bytes per value, the
-			// dictionary is shared and not duplicated by the gather.
-			return len(sel) * 4
-		}
-		total := 0
-		for _, i := range sel {
-			if i >= 0 {
-				total += len(v.str[i])
-			}
-		}
-		return total + len(sel)*16
+	n := len(sel)
+	if sel == nil {
+		n = v.n
 	}
-	return len(sel) * v.kind.Width()
+	if v.kind != String {
+		return n * v.kind.Width()
+	}
+	total := n * 16
+	if sel == nil {
+		for i := 0; i < v.n; i++ {
+			total += len(v.StrAt(i))
+		}
+		return total
+	}
+	for _, i := range sel {
+		if i >= 0 {
+			total += len(v.StrAt(int(i)))
+		}
+	}
+	return total
 }
 
 // Bytes returns an estimate of the in-memory payload size.

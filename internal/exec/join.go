@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"vectorh/internal/expr"
 	"vectorh/internal/vector"
 )
@@ -16,6 +18,21 @@ const (
 	Semi
 	Anti
 )
+
+// String names the join type as EXPLAIN prints it.
+func (t JoinType) String() string {
+	switch t {
+	case Inner:
+		return "inner"
+	case LeftOuter:
+		return "left-outer"
+	case Semi:
+		return "semi"
+	case Anti:
+		return "anti"
+	}
+	return fmt.Sprintf("JoinType(%d)", uint8(t))
+}
 
 // HashJoin builds a hash table on the build child and streams the probe
 // child through it. Output columns are the probe columns followed by the

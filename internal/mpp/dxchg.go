@@ -103,15 +103,21 @@ func (e *Exchange) stop() { e.stopOnce.Do(func() { close(e.quit) }) }
 // inboxes of sibling streams mid-query; stopping only on the last close (or
 // on context cancellation) is both loss-free and leak-free.
 func (e *Exchange) newPort(ch chan portItem) *recvPort {
+	return &recvPort{ch: ch, stop: e.portStop()}
+}
+
+// portStop registers one more open consumer port and returns its
+// idempotent close, which stops the exchange when it is the last.
+func (e *Exchange) portStop() func() {
 	e.openPorts.Add(1)
 	var once sync.Once
-	return &recvPort{ch: ch, stop: func() {
+	return func() {
 		once.Do(func() {
 			if e.openPorts.Add(-1) == 0 {
 				e.stop()
 			}
 		})
-	}}
+	}
 }
 
 // Stats returns buffering statistics after the exchange ran.
@@ -588,7 +594,12 @@ func DXchgUnion(cfg Config, producers [][]exec.Operator, consumerNode int) (exec
 }
 
 // DXchgBroadcast replicates every producer row to every consumer thread on
-// every node (used to build replicated join sides).
+// every node (the broadcast build side of a join). A node keeps the batches
+// it receives in one shared log that its consumers read at their own pace,
+// so no consumer waits on another: one that stops early, or never reads
+// before it closes, holds up neither its siblings nor the senders. The log
+// keeps the whole broadcast side per node, which is what every consumer's
+// hash table holds anyway.
 func DXchgBroadcast(cfg Config, producers [][]exec.Operator, consumersPerNode []int) ([][]exec.Operator, *Exchange) {
 	ex := newExchange(cfg)
 	ex.fanout = len(consumersPerNode)
@@ -608,35 +619,88 @@ func DXchgBroadcast(cfg Config, producers [][]exec.Operator, consumersPerNode []
 	}
 	ports := make([][]exec.Operator, len(consumersPerNode))
 	for n, c := range consumersPerNode {
-		nodeQueues := make([]chan portItem, c)
+		log := &broadcastLog{more: make(chan struct{})}
 		for t := 0; t < c; t++ {
-			q := make(chan portItem, 4)
-			nodeQueues[t] = q
-			ports[n] = append(ports[n], ex.newPort(q))
+			ports[n] = append(ports[n], &logPort{log: log, stop: ex.portStop()})
 		}
-		go func(n int, nodeQueues []chan portItem) {
-			defer func() {
-				for _, q := range nodeQueues {
-					close(q)
-				}
-			}()
+		go func(n int) {
+			defer log.finish()
 			for {
 				m, ok := comm.RecvQuit(n, ex.quit)
 				if !ok {
 					return
 				}
-				it := received(m)
-				for _, q := range nodeQueues {
-					select {
-					case q <- it:
-					case <-ex.quit:
-						return
-					}
-				}
+				log.append(received(m))
 			}
-		}(n, nodeQueues)
+		}(n)
 	}
 	return ports, ex
+}
+
+// broadcastLog is the append-only list of items one node received from a
+// broadcast; more is closed (and replaced) whenever the log grows or ends.
+type broadcastLog struct {
+	mu    sync.Mutex
+	items []portItem
+	done  bool
+	more  chan struct{}
+}
+
+func (l *broadcastLog) append(it portItem) {
+	l.mu.Lock()
+	l.items = append(l.items, it)
+	close(l.more)
+	l.more = make(chan struct{})
+	l.mu.Unlock()
+}
+
+func (l *broadcastLog) finish() {
+	l.mu.Lock()
+	l.done = true
+	close(l.more)
+	l.mu.Unlock()
+}
+
+// at returns item i when the log holds it; otherwise the channel that closes
+// when the log grows, or nil once the log is complete.
+func (l *broadcastLog) at(i int) (it portItem, ok bool, more chan struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i < len(l.items) {
+		return l.items[i], true, nil
+	}
+	if l.done {
+		return portItem{}, false, nil
+	}
+	return portItem{}, false, l.more
+}
+
+// logPort is one consumer's cursor over its node's broadcast log.
+type logPort struct {
+	log  *broadcastLog
+	next int
+	stop func()
+}
+
+func (p *logPort) Open() error { return nil }
+
+func (p *logPort) Next() (*vector.Batch, error) {
+	for {
+		it, ok, more := p.log.at(p.next)
+		if ok {
+			p.next++
+			return it.b, it.err
+		}
+		if more == nil {
+			return nil, nil
+		}
+		<-more
+	}
+}
+
+func (p *logPort) Close() error {
+	p.stop()
+	return nil
 }
 
 // runForwardSender buffers batches and sends them whole to a list of
@@ -653,7 +717,13 @@ func runForwardSender(ex *Exchange, comm *mpi.Comm, node int, p exec.Operator, d
 		}
 		bufs[i].ranks = append(bufs[i].ranks, d)
 	}
-	fail := func(err error) { comm.SendQuit(node, dests[0], errBatch(err), ex.quit) }
+	// A broadcast's consumers on every node must see a producer error, or
+	// a node would build from a silently truncated side.
+	fail := func(err error) {
+		for _, d := range dests {
+			comm.SendQuit(node, d, errBatch(err), ex.quit)
+		}
+	}
 	if err := p.Open(); err != nil {
 		fail(err)
 		return

@@ -3,10 +3,12 @@ package mpp
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vectorh/internal/compress"
 	"vectorh/internal/exec"
@@ -175,6 +177,42 @@ func TestDXchgBroadcast(t *testing.T) {
 	}
 }
 
+// TestDXchgBroadcastEarlyCloseNoLeak: on every node one consumer closes
+// without reading while its sibling reads everything. The sibling must still
+// get every row, no consumer may wait on another, and every goroutine of the
+// exchange must exit once the ports are closed.
+func TestDXchgBroadcastEarlyCloseNoLeak(t *testing.T) {
+	testBothModes(t, func(t *testing.T, mode Mode) {
+		time.Sleep(10 * time.Millisecond)
+		baseline := runtime.NumGoroutine()
+		net := mpi.NewNetwork(2)
+		// 5000 rows are far more messages than any queue holds.
+		producers := [][]exec.Operator{{producer(0, 2500)}, {producer(2500, 2500)}}
+		ports, _ := DXchgBroadcast(Config{Net: net, Mode: mode, MsgBytes: 512}, producers, []int{2, 2})
+		for _, nodePorts := range ports {
+			if err := nodePorts[0].Close(); err != nil {
+				t.Fatal(err)
+			}
+			rows, err := exec.Collect(nodePorts[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 5000 {
+				t.Fatalf("sibling of an early-closed consumer got %d rows, want 5000", len(rows))
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				n := runtime.Stack(buf, true)
+				t.Fatalf("goroutine leak: %d vs baseline %d\n%s", runtime.NumGoroutine(), baseline, buf[:n])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}
+
 func TestDXchgRangeSplit(t *testing.T) {
 	net := mpi.NewNetwork(2)
 	producers := [][]exec.Operator{{producer(0, 100)}, {producer(100, 100)}}
@@ -226,6 +264,24 @@ func TestDXchgPropagatesProducerErrors(t *testing.T) {
 			t.Fatal("producer error not delivered to any consumer")
 		}
 	})
+}
+
+// TestDXchgBroadcastErrorReachesEveryNode: a producer error must fail every
+// consumer of a broadcast, including those of a node the failing producer
+// does not run on, and of every node when the first has no consumers.
+func TestDXchgBroadcastErrorReachesEveryNode(t *testing.T) {
+	for _, consumers := range [][]int{{1, 2}, {0, 2}} {
+		net := mpi.NewNetwork(2)
+		producers := [][]exec.Operator{{failOp{}}, {producer(0, 10)}}
+		ports, _ := DXchgBroadcast(Config{Net: net, MsgBytes: 512}, producers, consumers)
+		for n, nodePorts := range ports {
+			for _, p := range nodePorts {
+				if _, err := exec.Collect(p); err == nil {
+					t.Fatalf("consumers %v: a consumer on node %d saw no producer error", consumers, n)
+				}
+			}
+		}
+	}
 }
 
 // dictProducer emits dictionary-coded 60-byte strings: one dense batch of

@@ -60,6 +60,11 @@ type FilterNode struct {
 
 	SkipSet  *ScanPredSet
 	Residual *Expr
+
+	// Est is the SQL planner's estimate of the filter's output rows (its
+	// MinMax-scaled selectivity over the base table); 0 means none, and the
+	// rewriter falls back to its own guess.
+	Est int64
 }
 
 // Filter builds a selection.

@@ -4,6 +4,27 @@
 // rules — local join detection over co-located partitions, replicated build
 // sides, partial aggregation before exchanges — under a cost model that
 // makes network exchanges expensive.
+//
+// Every equi-join takes the first of three distributions that applies:
+//
+//   - co-located: both sides are table partitions of the same count and a
+//     key pair joins columns equal to each side's partition key, so
+//     partition i joins partition i with no exchange (merge join when both
+//     are clustered on the key). Equality to the partition key is tracked
+//     through inner equi-joins, projections and aggregates, so a join that
+//     renames the key (l_orderkey to o_orderkey) stays co-located;
+//   - replicated build: every probe stream gets the whole build side and the
+//     probe side stays where it is, keeping its partitioning. A replicated
+//     table builds from its local replica; a partitioned build side is
+//     DXchgBroadcast when its estimated rows times the probe side's stream
+//     count (what the broadcast ships and hashes) is at most the probe
+//     side's estimated rows (what a repartition would ship);
+//   - repartition: DXchgHashSplit both sides on the join keys.
+//
+// Row estimates start from catalog row counts and, for SQL plans, the
+// planner's MinMax-scaled filter estimates (plan.FilterNode.Est); a join is
+// estimated as the larger side scaled by the selectivity the other side's
+// filters kept of its base rows.
 package rewriter
 
 import (
@@ -280,9 +301,11 @@ type physHashJoin struct {
 	probeKeys    []expr.Expr
 	jt           exec.JoinType
 	schema       vector.Schema
-	// broadcastBuild: the build side has one stream per node that must be
-	// locally replicated to every probe stream (replicated build rule).
-	broadcastBuild bool
+	// replicatedBuild: the build side is a replicated table with one
+	// stream per node, fanned out locally to every probe stream. Otherwise
+	// build and probe streams pair up 1:1 (a DXchgBroadcast build delivers
+	// one stream per probe stream).
+	replicatedBuild bool
 }
 
 func (p *physHashJoin) OutSchema() vector.Schema { return p.schema }
@@ -290,7 +313,7 @@ func (p *physHashJoin) children() []Phys         { return []Phys{p.probe, p.buil
 
 func (p *physHashJoin) label() string {
 	mode := "paired"
-	if p.broadcastBuild {
+	if p.replicatedBuild {
 		mode = "replicated-build"
 	}
 	return fmt.Sprintf("HashJoin[%v,%s]", p.jt, mode)
@@ -308,7 +331,7 @@ func (p *physHashJoin) instantiate(e *Env) ([][]exec.Operator, error) {
 	out := make([][]exec.Operator, e.Nodes)
 	for n := 0; n < e.Nodes; n++ {
 		bstreams := build[n]
-		if p.broadcastBuild {
+		if p.replicatedBuild {
 			if len(bstreams) != 1 {
 				return nil, fmt.Errorf("rewriter: replicated build expects 1 stream, got %d", len(bstreams))
 			}
@@ -412,6 +435,35 @@ func (p *physDXchgHash) instantiate(e *Env) ([][]exec.Operator, error) {
 	}
 	ports, _ := mpp.DXchgHashSplit(mpp.Config{Net: e.Net, Mode: e.Mode, MsgBytes: e.MsgBytes, Ctx: e.ctx()},
 		in, p.keys, consumers)
+	return ports, nil
+}
+
+// physDXchgBroadcast ships every row of its child to every stream of the
+// join probe side it builds for: one consumer per probe stream on each node.
+type physDXchgBroadcast struct {
+	child Phys
+	probe Phys
+}
+
+func (p *physDXchgBroadcast) OutSchema() vector.Schema { return p.child.OutSchema() }
+func (p *physDXchgBroadcast) children() []Phys         { return []Phys{p.child} }
+func (p *physDXchgBroadcast) label() string            { return "DXchgBroadcast" }
+
+func (p *physDXchgBroadcast) instantiate(e *Env) ([][]exec.Operator, error) {
+	probe, err := e.instantiate(p.probe)
+	if err != nil {
+		return nil, err
+	}
+	in, err := e.instantiate(p.child)
+	if err != nil {
+		return nil, err
+	}
+	consumers := make([]int, e.Nodes)
+	for n := range consumers {
+		consumers[n] = len(probe[n])
+	}
+	ports, _ := mpp.DXchgBroadcast(mpp.Config{Net: e.Net, Mode: e.Mode, MsgBytes: e.MsgBytes, Ctx: e.ctx()},
+		in, consumers)
 	return ports, nil
 }
 

@@ -2,6 +2,7 @@ package rewriter
 
 import (
 	"fmt"
+	"slices"
 
 	"vectorh/internal/exec"
 	"vectorh/internal/expr"
@@ -32,7 +33,7 @@ type Options struct {
 	Master  int // session-master node (final gather target)
 
 	LocalJoin      bool // detect co-located partition-pair joins
-	ReplicateBuild bool // build join hash tables from replicated tables locally
+	ReplicateBuild bool // give every probe stream the whole build side: local replica or broadcast
 	PartialAgg     bool // aggregate locally before exchanging
 
 	// PushFilterIntoScan moves a filter's pushable conjuncts into the scan
@@ -66,12 +67,38 @@ type result struct {
 	schema vector.Schema
 
 	partitionedBy []string // output columns the streams are partitioned on
-	coPart        bool     // streams are table partitions (alignable 1:1)
-	partCount     int      // partition count for coPart alignment
-	replicated    bool     // every node holds a full copy (1 stream/node)
-	gathered      bool     // single stream at the master
-	orderedBy     string   // streams ordered on this column ("" = no)
-	rows          int64    // cardinality estimate
+	// keyEq lists, when the streams are partitioned on a single column,
+	// every output column known to equal it (partitionedBy[0] included):
+	// an inner equi-join on the key adds the other side's key column, and
+	// projections rename it.
+	keyEq      []string
+	coPart     bool   // streams are table partitions (alignable 1:1)
+	partCount  int    // partition count for coPart alignment
+	replicated bool   // every node holds a full copy (1 stream/node)
+	gathered   bool   // single stream at the master
+	orderedBy  string // streams ordered on this column ("" = no)
+	rows       int64  // cardinality estimate
+	// base is the unfiltered row count rows was derived from (a base
+	// table's, or an aggregate's output), so rows/base is the selectivity
+	// applied so far; 0 when unknown.
+	base int64
+}
+
+// partitionOn records that the streams are partitioned on keys.
+func (r *result) partitionOn(keys []string) {
+	r.partitionedBy = keys
+	r.keyEq = nil
+	if len(keys) == 1 {
+		r.keyEq = []string{keys[0]}
+	}
+}
+
+// streams is the cluster-wide stream count of a distributed result.
+func (c *rewriteCtx) streams(r result) int64 {
+	if r.coPart {
+		return int64(r.partCount)
+	}
+	return int64(c.opts.Nodes * c.opts.Threads)
 }
 
 type rewriteCtx struct {
@@ -114,7 +141,7 @@ func (c *rewriteCtx) gather(r result) result {
 	}
 	r.phys = &physDXchgUnion{child: r.phys, node: c.opts.Master}
 	r.gathered = true
-	r.partitionedBy = nil
+	r.partitionOn(nil)
 	r.coPart = false
 	return r
 }
@@ -178,6 +205,7 @@ func (c *rewriteCtx) recScan(n *plan.ScanNode) (result, error) {
 		phys:   &physScan{table: n.Table, cols: cols, replicated: info.PartitionKey == "", schema: schema},
 		schema: schema,
 		rows:   info.Rows,
+		base:   info.Rows,
 	}
 	if info.PartitionKey == "" {
 		r.replicated = true
@@ -185,7 +213,7 @@ func (c *rewriteCtx) recScan(n *plan.ScanNode) (result, error) {
 		r.coPart = true
 		r.partCount = info.Partitions
 		if schema.Index(info.PartitionKey) >= 0 {
-			r.partitionedBy = []string{info.PartitionKey}
+			r.partitionOn([]string{info.PartitionKey})
 		}
 	}
 	if info.ClusteredOn != "" && schema.Index(info.ClusteredOn) >= 0 {
@@ -209,7 +237,7 @@ func (c *rewriteCtx) recFilter(n *plan.FilterNode) (result, error) {
 		ps := n.SkipSet.Clone()
 		ps.CodeSpace = c.opts.ExecOnCompressed
 		scan.pred = ps
-		child.rows = child.rows/3 + 1
+		child.rows = filterRows(n, child.rows)
 		if n.Residual == nil {
 			// The scan evaluates every conjunct itself: no Select needed.
 			return child, nil
@@ -233,8 +261,17 @@ func (c *rewriteCtx) recFilter(n *plan.FilterNode) (result, error) {
 		return result{}, err
 	}
 	child.phys = &physFilter{child: child.phys, pred: bound}
-	child.rows = child.rows/3 + 1
+	child.rows = filterRows(n, child.rows)
 	return child, nil
+}
+
+// filterRows is a filter's output estimate: the SQL planner's MinMax-scaled
+// one when it carries one, else the classic 1/3 guess.
+func filterRows(n *plan.FilterNode, in int64) int64 {
+	if n.Est > 0 {
+		return n.Est
+	}
+	return in/3 + 1
 }
 
 func (c *rewriteCtx) recProject(n *plan.ProjectNode) (result, error) {
@@ -254,8 +291,9 @@ func (c *rewriteCtx) recProject(n *plan.ProjectNode) (result, error) {
 		}
 		schema[i] = vector.Field{Name: ne.Name, Type: t}
 	}
-	// Partitioning survives only for pass-through bare columns.
-	var newPart []string
+	// Partitioning survives only for pass-through bare columns; a single
+	// partition key survives while any column equal to it does.
+	var newPart, newEq []string
 	for _, pc := range child.partitionedBy {
 		for _, ne := range n.Exprs {
 			if ne.Expr.Name == pc {
@@ -267,6 +305,14 @@ func (c *rewriteCtx) recProject(n *plan.ProjectNode) (result, error) {
 	if len(newPart) != len(child.partitionedBy) {
 		newPart = nil
 	}
+	for _, ne := range n.Exprs {
+		if ne.Expr.Name != "" && slices.Contains(child.keyEq, ne.Expr.Name) {
+			newEq = append(newEq, ne.Name)
+		}
+	}
+	if len(newEq) > 0 {
+		newPart = newEq[:1]
+	}
 	ordered := ""
 	if child.orderedBy != "" {
 		for _, ne := range n.Exprs {
@@ -277,23 +323,59 @@ func (c *rewriteCtx) recProject(n *plan.ProjectNode) (result, error) {
 	}
 	child.phys = &physProject{child: child.phys, exprs: exprs, schema: schema}
 	child.schema = schema
-	child.partitionedBy = newPart
+	child.partitionedBy, child.keyEq = newPart, newEq
 	child.orderedBy = ordered
 	return child, nil
 }
 
-// keyAligned reports whether the join keys pair the two sides' partition
-// keys at the same position, making partition-pair joins correct.
-func keyAligned(lKeys, rKeys, lPart, rPart []string) bool {
-	if len(lPart) != 1 || len(rPart) != 1 {
-		return false
-	}
+// keyAligned reports whether a join-key pair joins a column equal to the
+// left side's single partition key with one equal to the right side's
+// (their keyEq sets), making partition-pair joins correct.
+func keyAligned(lKeys, rKeys, lEq, rEq []string) bool {
 	for i := range lKeys {
-		if lKeys[i] == lPart[0] && rKeys[i] == rPart[0] {
+		if slices.Contains(lEq, lKeys[i]) && slices.Contains(rEq, rKeys[i]) {
 			return true
 		}
 	}
 	return false
+}
+
+// joinKeyEq extends the left side's partition-key equivalents over a join's
+// output. An inner equi-join's rows hold equal values in every key pair, so
+// the right key of a pair whose left key is equivalent joins the set. Semi
+// and anti joins output no right column, and a left-outer join pads its
+// unmatched rows' right columns with zero values, so neither adds any. A
+// right key whose name a left column shadows is skipped: the name binds to
+// the left one.
+func joinKeyEq(n *plan.JoinNode, jt exec.JoinType, left result) []string {
+	if jt != exec.Inner {
+		return left.keyEq
+	}
+	eq := slices.Clone(left.keyEq)
+	for i, lk := range n.LeftKeys {
+		rk := n.RightKeys[i]
+		if slices.Contains(left.keyEq, lk) && left.schema.Index(rk) < 0 {
+			eq = append(eq, rk)
+		}
+	}
+	return eq
+}
+
+// joinRows estimates an equi-join's output rows: each side scaled by the
+// selectivity the other side's filters kept of its base rows, the larger of
+// the two (a foreign-key join keeps the referencing side's rows, thinned by
+// the filters on the referenced side). base is the base row count of the
+// side that estimate scales. Without base counts it is the larger input.
+func joinRows(l, r result) (rows, base int64) {
+	if l.base <= 0 || r.base <= 0 {
+		return max(l.rows, r.rows), 0
+	}
+	fromL := float64(l.rows) * float64(r.rows) / float64(r.base)
+	fromR := float64(r.rows) * float64(l.rows) / float64(l.base)
+	if fromL >= fromR {
+		return max(int64(fromL), 1), l.base
+	}
+	return max(int64(fromR), 1), r.base
 }
 
 func bindAll(names []string, s vector.Schema) ([]expr.Expr, error) {
@@ -337,12 +419,30 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 		outSchema = append(outSchema, vector.Field{Name: plan.MatchedCol, Type: vector.TBool})
 	}
 
-	out := result{schema: outSchema, rows: maxI64(left.rows, right.rows)}
+	out := result{schema: outSchema}
+	out.rows, out.base = joinRows(left, right)
+	if jt == exec.LeftOuter {
+		out.rows = max(out.rows, left.rows)
+	}
+	hashJoin := func(build, probe result, replicatedBuild bool) error {
+		bk, err := bindAll(n.RightKeys, build.schema)
+		if err != nil {
+			return err
+		}
+		pk, err := bindAll(n.LeftKeys, probe.schema)
+		if err != nil {
+			return err
+		}
+		out.phys = &physHashJoin{build: build.phys, probe: probe.phys,
+			buildKeys: bk, probeKeys: pk, jt: jt, schema: outSchema,
+			replicatedBuild: replicatedBuild}
+		return nil
+	}
 	switch {
 	// Rule: local join over co-located partitions.
 	case c.opts.LocalJoin && left.coPart && right.coPart &&
 		left.partCount == right.partCount &&
-		keyAligned(n.LeftKeys, n.RightKeys, left.partitionedBy, right.partitionedBy):
+		keyAligned(n.LeftKeys, n.RightKeys, left.keyEq, right.keyEq):
 		// Co-ordered clustered tables merge-join without hashing.
 		if jt == exec.Inner && len(n.LeftKeys) == 1 &&
 			left.orderedBy == n.LeftKeys[0] && right.orderedBy == n.RightKeys[0] {
@@ -352,51 +452,37 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 				schema: outSchema,
 			}
 			out.orderedBy = left.orderedBy
-		} else {
-			bk, err := bindAll(n.RightKeys, right.schema)
-			if err != nil {
-				return result{}, err
-			}
-			pk, err := bindAll(n.LeftKeys, left.schema)
-			if err != nil {
-				return result{}, err
-			}
-			out.phys = &physHashJoin{build: right.phys, probe: left.phys,
-				buildKeys: bk, probeKeys: pk, jt: jt, schema: outSchema}
+		} else if err := hashJoin(right, left, false); err != nil {
+			return result{}, err
 		}
 		out.coPart, out.partCount = true, left.partCount
-		out.partitionedBy = left.partitionedBy
+		out.partitionedBy, out.keyEq = left.partitionedBy, joinKeyEq(n, jt, left)
 
 	// Both sides replicated: join locally on every node, result stays
 	// replicated (no flag — it is never worse).
 	case left.replicated && right.replicated:
-		bk, err := bindAll(n.RightKeys, right.schema)
-		if err != nil {
+		if err := hashJoin(right, left, false); err != nil {
 			return result{}, err
 		}
-		pk, err := bindAll(n.LeftKeys, left.schema)
-		if err != nil {
-			return result{}, err
-		}
-		out.phys = &physHashJoin{build: right.phys, probe: left.phys,
-			buildKeys: bk, probeKeys: pk, jt: jt, schema: outSchema}
 		out.replicated = true
 
-	// Rule: replicated build side — build the hash table from the local
-	// replica on every node, splitting only between local threads.
-	case c.opts.ReplicateBuild && right.replicated && !left.gathered:
-		bk, err := bindAll(n.RightKeys, right.schema)
-		if err != nil {
+	// Rule: replicated build side — every probe stream gets the whole build
+	// side, so the probe side keeps its partitioning and does not move. A
+	// replicated table builds from the local replica on every node (split
+	// only between local threads); a small partitioned build side is
+	// broadcast, when its rows times the probe streams — what the broadcast
+	// ships and hashes — are no more than the probe rows a repartition
+	// would ship.
+	case c.opts.ReplicateBuild && !left.gathered && (right.replicated ||
+		!left.replicated && !right.gathered && right.rows*c.streams(left) <= left.rows):
+		build := right
+		if !right.replicated {
+			build.phys = &physDXchgBroadcast{child: right.phys, probe: left.phys}
+		}
+		if err := hashJoin(build, left, right.replicated); err != nil {
 			return result{}, err
 		}
-		pk, err := bindAll(n.LeftKeys, left.schema)
-		if err != nil {
-			return result{}, err
-		}
-		out.phys = &physHashJoin{build: right.phys, probe: left.phys,
-			buildKeys: bk, probeKeys: pk, jt: jt, schema: outSchema,
-			broadcastBuild: true}
-		out.partitionedBy = left.partitionedBy
+		out.partitionedBy, out.keyEq = left.partitionedBy, joinKeyEq(n, jt, left)
 		out.coPart, out.partCount = left.coPart, left.partCount
 		out.orderedBy = left.orderedBy
 
@@ -411,21 +497,14 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 		if err != nil {
 			return result{}, err
 		}
-		bk, err := bindAll(n.RightKeys, exR.schema)
-		if err != nil {
+		if err := hashJoin(exR, exL, false); err != nil {
 			return result{}, err
 		}
-		pk, err := bindAll(n.LeftKeys, exL.schema)
-		if err != nil {
-			return result{}, err
-		}
-		out.phys = &physHashJoin{build: exR.phys, probe: exL.phys,
-			buildKeys: bk, probeKeys: pk, jt: jt, schema: outSchema}
-		out.partitionedBy = n.LeftKeys
+		out.partitionedBy, out.keyEq = n.LeftKeys, joinKeyEq(n, jt, exL)
 	}
 
 	if jt == exec.Semi || jt == exec.Anti {
-		out.rows = left.rows/2 + 1
+		out.rows, out.base = left.rows/2+1, left.base
 	}
 	if n.ExtraPred != nil {
 		bound, err := n.ExtraPred.Bind(outSchema)
@@ -450,7 +529,7 @@ func (c *rewriteCtx) exchangeOn(r result, keys []string) (result, error) {
 		phys = &physOneNode{child: phys, node: c.opts.Master}
 	}
 	r.phys = &physDXchgHash{child: phys, keys: bound}
-	r.partitionedBy = keys
+	r.partitionOn(keys)
 	r.coPart = false
 	r.replicated = false
 	r.gathered = false
@@ -485,9 +564,16 @@ func (c *rewriteCtx) recAggregate(n *plan.AggregateNode) (result, error) {
 	}
 
 	// Grouping is stream-local when the stream partitioning keys are a
-	// subset of the GROUP BY (every group confined to one stream), when
-	// the data is replicated, or when already gathered.
-	local := child.gathered || child.replicated ||
+	// subset of the GROUP BY, or the GROUP BY holds a column equal to the
+	// single partition key (every group confined to one stream), when the
+	// data is replicated, or when already gathered.
+	var groupEq []string
+	for _, g := range n.GroupBy {
+		if slices.Contains(child.keyEq, g) {
+			groupEq = append(groupEq, g)
+		}
+	}
+	local := child.gathered || child.replicated || len(groupEq) > 0 ||
 		(len(child.partitionedBy) > 0 && subset(child.partitionedBy, n.GroupBy))
 
 	if local {
@@ -498,8 +584,13 @@ func (c *rewriteCtx) recAggregate(n *plan.AggregateNode) (result, error) {
 		child.phys = &physAggr{child: child.phys, keys: keys, aggs: aggs, schema: outSchema, kind: "direct"}
 		child.schema = outSchema
 		child.rows = groupEstimate(child.rows)
+		child.base = child.rows
 		child.orderedBy = ""
-		// Partitioning property: group keys retain the partition cols.
+		// Partitioning property: the group columns equal to the partition
+		// key (or a multi-column key's columns) pass through.
+		if len(groupEq) > 0 {
+			child.partitionedBy, child.keyEq = groupEq[:1], groupEq
+		}
 		return child, nil
 	}
 
@@ -527,7 +618,8 @@ func (c *rewriteCtx) recAggregate(n *plan.AggregateNode) (result, error) {
 		ex.phys = &physAggr{child: ex.phys, keys: keys, aggs: aggs, schema: outSchema, kind: "direct"}
 		ex.schema = outSchema
 		ex.rows = groupEstimate(child.rows)
-		ex.partitionedBy = n.GroupBy
+		ex.base = ex.rows
+		ex.partitionOn(n.GroupBy)
 		return ex, nil
 	}
 
@@ -558,7 +650,8 @@ func (c *rewriteCtx) recAggregate(n *plan.AggregateNode) (result, error) {
 	ex.phys = &physProject{child: ex.phys, exprs: finProj, schema: outSchema}
 	ex.schema = outSchema
 	ex.rows = groupEstimate(child.rows)
-	ex.partitionedBy = n.GroupBy
+	ex.base = ex.rows
+	ex.partitionOn(n.GroupBy)
 	return ex, nil
 }
 
@@ -740,13 +833,6 @@ func (c *rewriteCtx) recOrderBy(n *plan.OrderByNode) (result, error) {
 		g.phys = &physSort{child: g.phys, keys: keys}
 	}
 	return g, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // catAdapter exposes the rewriter catalog as a plan.Catalog.

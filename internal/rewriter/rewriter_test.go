@@ -2,9 +2,11 @@ package rewriter
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"vectorh/internal/exec"
 	"vectorh/internal/mpi"
@@ -204,12 +206,23 @@ func TestRewriteLocalJoinDisabledUsesExchange(t *testing.T) {
 	opts.LocalJoin = false
 	q := plan.Join(plan.InnerJoin, plan.Scan("fact", "f_ok", "f_val"), plan.Scan("head", "h_ok", "h_date"),
 		[]string{"f_ok"}, []string{"h_ok"})
+	// head's 1000 rows × fact's 4 partition streams do not exceed fact's
+	// 4000 rows, so the build side is broadcast.
 	rows, _, explain := run(t, q, opts)
 	if len(rows) != 4000 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if !strings.Contains(explain, "DXchgHashSplit") {
-		t.Fatalf("expected exchanges without the local-join rule:\n%s", explain)
+	if !strings.Contains(explain, "DXchgBroadcast") || strings.Contains(explain, "co-located") {
+		t.Fatalf("expected an exchange and no co-located join without the local-join rule:\n%s", explain)
+	}
+	// Without the replicated-build rule either, both sides repartition.
+	opts.ReplicateBuild = false
+	rows, _, explain = run(t, q, opts)
+	if len(rows) != 4000 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	if !strings.Contains(explain, "DXchgHashSplit") || strings.Contains(explain, "DXchgBroadcast") {
+		t.Fatalf("expected a repartition without the local-join and replicated-build rules:\n%s", explain)
 	}
 }
 
@@ -395,5 +408,143 @@ func TestExplainContainsScans(t *testing.T) {
 	}
 	if !strings.Contains(Explain(p), "MScan[fact]") {
 		t.Fatalf("explain:\n%s", Explain(p))
+	}
+}
+
+func TestRewriteBroadcastsSmallBuildSide(t *testing.T) {
+	// f_sk = h_ok pairs no partition keys; head's 1000 rows × fact's 4
+	// partition streams do not exceed fact's 4000 rows.
+	q := plan.Join(plan.InnerJoin, plan.Scan("fact", "f_ok", "f_sk"), plan.Scan("head", "h_ok", "h_date"),
+		[]string{"f_sk"}, []string{"h_ok"})
+	rows, _, explain := run(t, q, DefaultOptions(2, 2))
+	if len(rows) != 4000 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	if !strings.Contains(explain, "DXchgBroadcast") || strings.Contains(explain, "DXchgHashSplit") {
+		t.Fatalf("expected a broadcast build and no repartition:\n%s", explain)
+	}
+	// The probe side did not move: grouping on its partition key is local.
+	agg := plan.Aggregate(q, []string{"f_ok"}, plan.AStar("n"))
+	rows, _, explain = run(t, agg, DefaultOptions(2, 2))
+	if len(rows) != 1000 || !strings.Contains(explain, "Aggr(direct)") {
+		t.Fatalf("groups = %d, expected a direct aggregate:\n%s", len(rows), explain)
+	}
+}
+
+func TestRewriteRepartitionsWhenBroadcastCostsMore(t *testing.T) {
+	probe := func(est int64) plan.Node {
+		f := plan.Filter(plan.Scan("fact", "f_ok", "f_sk"), plan.LT(plan.Col("f_ok"), plan.Int(100)))
+		f.Est = est
+		return plan.Join(plan.InnerJoin, f, plan.Scan("head", "h_ok", "h_date"),
+			[]string{"f_sk"}, []string{"h_ok"})
+	}
+	// Without a planner estimate the filter is guessed at 4000/3 probe
+	// rows, below head's 1000 rows × 4 streams: repartition.
+	rows, _, explain := run(t, probe(0), DefaultOptions(2, 2))
+	if len(rows) != 400 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	if !strings.Contains(explain, "DXchgHashSplit") || strings.Contains(explain, "DXchgBroadcast") {
+		t.Fatalf("expected a repartition:\n%s", explain)
+	}
+	// The planner's estimate replaces the guess: at 4000 rows, broadcast.
+	rows, _, explain = run(t, probe(4000), DefaultOptions(2, 2))
+	if len(rows) != 400 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	if !strings.Contains(explain, "DXchgBroadcast") {
+		t.Fatalf("expected the estimate to draw a broadcast:\n%s", explain)
+	}
+}
+
+func TestRewriteSemiJoinColocatedThroughKeyEquivalence(t *testing.T) {
+	// fact ⋈ head on f_ok = h_ok makes h_ok equal to fact's partition key;
+	// the projection renames it, and the semi-join on the renamed column
+	// pairs partitions without an exchange, as does grouping on it.
+	joined := plan.Project(
+		plan.Join(plan.InnerJoin, plan.Scan("fact", "f_ok", "f_val"), plan.Scan("head", "h_ok"),
+			[]string{"f_ok"}, []string{"h_ok"}),
+		plan.As("okey", plan.Col("h_ok")), plan.As("val", plan.Col("f_val")))
+	semi := plan.Join(plan.SemiJoin, joined,
+		plan.Filter(plan.Scan("fact", "f_ok"), plan.LT(plan.Col("f_ok"), plan.Int(100))),
+		[]string{"okey"}, []string{"f_ok"})
+	q := plan.Aggregate(semi, []string{"okey"}, plan.A("total", plan.Sum, plan.Col("val")))
+	rows, _, explain := run(t, q, DefaultOptions(2, 2))
+	if len(rows) != 100 {
+		t.Fatalf("groups = %d", len(rows))
+	}
+	for _, r := range rows {
+		if r[1].(float64) != 4 {
+			t.Fatalf("group %v", r)
+		}
+	}
+	if !strings.Contains(explain, "HashJoin[semi,paired]") || !strings.Contains(explain, "Aggr(direct)") ||
+		strings.Contains(explain, "DXchgHashSplit") || strings.Contains(explain, "DXchgBroadcast") {
+		t.Fatalf("expected a co-located semi-join and a direct aggregate:\n%s", explain)
+	}
+}
+
+func TestRewriteLeftOuterRightKeyIsNotPartitionKey(t *testing.T) {
+	// head is partitioned on h_ok. An inner join on h_ok = d_sk makes d_sk
+	// equal to it, so grouping on d_sk is stream-local. In a left-outer
+	// join the 990 unmatched rows carry d_sk = 0 on every stream: grouping
+	// on d_sk must exchange, or group 0 would come out once per stream.
+	join := func(kind plan.JoinKind) plan.Node {
+		return plan.Aggregate(
+			plan.Join(kind, plan.Scan("head", "h_ok"), plan.Scan("dim", "d_sk"), []string{"h_ok"}, []string{"d_sk"}),
+			[]string{"d_sk"}, plan.AStar("n"))
+	}
+	rows, _, explain := run(t, join(plan.InnerJoin), DefaultOptions(2, 2))
+	if len(rows) != 10 || !strings.Contains(explain, "Aggr(direct)") {
+		t.Fatalf("inner: groups = %d, expected a direct aggregate:\n%s", len(rows), explain)
+	}
+	rows, _, explain = run(t, join(plan.LeftOuterJoin), DefaultOptions(2, 2))
+	if strings.Contains(explain, "Aggr(direct)") {
+		t.Fatalf("left outer: the right key must not allow a direct aggregate:\n%s", explain)
+	}
+	if len(rows) != 10 {
+		t.Fatalf("left outer: groups = %d, want 10", len(rows))
+	}
+	for _, r := range rows {
+		if want := map[bool]int64{true: 991, false: 1}[r[0].(int64) == 0]; r[1].(int64) != want {
+			t.Fatalf("left outer: group %v, want count %d", r, want)
+		}
+	}
+}
+
+// TestRewriteBroadcastNoGoroutineLeak runs broadcast-build joins whose
+// consumers stop early — under a LIMIT, and over an empty probe side — and
+// checks every exchange goroutine exits with the query.
+func TestRewriteBroadcastNoGoroutineLeak(t *testing.T) {
+	join := func(probe plan.Node) plan.Node {
+		return plan.Join(plan.InnerJoin, probe, plan.Scan("head", "h_ok", "h_date"),
+			[]string{"f_sk"}, []string{"h_ok"})
+	}
+	limited := plan.Limit(join(plan.Scan("fact", "f_ok", "f_sk")), 3)
+	empty := join(plan.Filter(plan.Scan("fact", "f_ok", "f_sk"), plan.LT(plan.Col("f_ok"), plan.Int(-1))))
+	empty.(*plan.JoinNode).Left.(*plan.FilterNode).Est = 4000
+	time.Sleep(20 * time.Millisecond)
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		for _, tc := range []struct {
+			q    plan.Node
+			rows int
+		}{{limited, 3}, {empty, 0}} {
+			for _, opts := range []Options{DefaultOptions(2, 2), DefaultOptions(3, 1)} {
+				rows, _, explain := run(t, tc.q, opts)
+				if len(rows) != tc.rows || !strings.Contains(explain, "DXchgBroadcast") {
+					t.Fatalf("rows = %d, want %d, over a broadcast build:\n%s", len(rows), tc.rows, explain)
+				}
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline+2 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutine leak: %d vs baseline %d\n%s", runtime.NumGoroutine(), baseline, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

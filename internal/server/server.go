@@ -577,22 +577,23 @@ func (ss *session) runRequest(ctx context.Context, req Request) {
 	defer ss.srv.m.active.Add(-1)
 
 	start := time.Now()
+	var done *Response
 	var err error
 	switch req.Op {
 	case OpQuery:
-		err = ss.runQuery(ctx, req, queueWait)
+		done, err = ss.runQuery(ctx, req, queueWait)
 	case OpProfile:
-		err = ss.runProfile(ctx, req)
+		done, err = ss.runProfile(ctx, req)
 	case OpExec:
 		var affected int64
 		affected, err = ss.srv.db.ExecSQLContext(ctx, req.SQL)
 		if err == nil {
 			elapsed := time.Since(start)
 			ss.srv.slowLogExec(req.SQL, elapsed, queueWait, affected)
-			err = ss.send(&Response{ID: req.ID, Type: RespDone, Affected: affected,
+			done = &Response{ID: req.ID, Type: RespDone, Affected: affected,
 				ElapsedUs: elapsed.Microseconds(),
 				QueueUs:   queueWait.Microseconds(),
-				ExecUs:    elapsed.Microseconds()})
+				ExecUs:    elapsed.Microseconds()}
 		}
 	}
 	ss.srv.execHist.Observe(time.Since(start))
@@ -605,7 +606,10 @@ func (ss *session) runRequest(ctx context.Context, req Request) {
 		ss.sendErr(req.ID, err)
 		return
 	}
+	// Count the completion before the done frame goes out: a client that
+	// asks for Stats the moment its query returns must already see it.
 	ss.srv.m.completed.Add(1)
+	ss.send(done)
 }
 
 // queryHash returns the slow-log hash of a statement: normalized token text
@@ -631,14 +635,16 @@ func (s *Server) slowLogExec(src string, elapsed, queueWait time.Duration, affec
 	})
 }
 
-func (ss *session) runQuery(ctx context.Context, req Request, queueWait time.Duration) error {
+// runQuery streams a SELECT's schema and row frames and returns its done
+// frame, which the caller sends once the query is counted.
+func (ss *session) runQuery(ctx context.Context, req Request, queueWait time.Duration) (*Response, error) {
 	db := ss.srv.db
 	schema, err := db.SchemaSQL(req.SQL)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := ss.send(&Response{ID: req.ID, Type: RespSchema, Schema: descSchema(schema)}); err != nil {
-		return err
+		return nil, err
 	}
 	start := time.Now()
 	var pending [][]any
@@ -674,10 +680,10 @@ func (ss *session) runQuery(ctx context.Context, req Request, queueWait time.Dur
 		err = db.QueryStreamSQL(ctx, req.SQL, yield)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := flush(); err != nil {
-		return err
+		return nil, err
 	}
 	elapsed := time.Since(start)
 	if slow.Enabled() {
@@ -702,27 +708,27 @@ func (ss *session) runQuery(ctx context.Context, req Request, queueWait time.Dur
 		}
 		slow.Record(elapsed, entry)
 	}
-	return ss.send(&Response{ID: req.ID, Type: RespDone,
+	return &Response{ID: req.ID, Type: RespDone,
 		ElapsedUs: elapsed.Microseconds(),
 		QueueUs:   queueWait.Microseconds(),
-		ExecUs:    elapsed.Microseconds()})
+		ExecUs:    elapsed.Microseconds()}, nil
 }
 
 // runProfile executes a SELECT under EXPLAIN ANALYZE (full execution with
-// per-operator profiling, rows discarded) and returns the rendered analysis
-// as a plan frame.
-func (ss *session) runProfile(ctx context.Context, req Request) error {
+// per-operator profiling, rows discarded), sends the rendered analysis as a
+// plan frame and returns the done frame.
+func (ss *session) runProfile(ctx context.Context, req Request) (*Response, error) {
 	start := time.Now()
 	p, err := ss.srv.db.QueryStreamProfileSQL(ctx, req.SQL, func(rows [][]any) error { return nil })
 	if err != nil {
-		return err
+		return nil, err
 	}
 	elapsed := time.Since(start)
 	if err := ss.send(&Response{ID: req.ID, Type: RespPlan, Plan: p.Render()}); err != nil {
-		return err
+		return nil, err
 	}
-	return ss.send(&Response{ID: req.ID, Type: RespDone,
-		ElapsedUs: elapsed.Microseconds(), ExecUs: elapsed.Microseconds()})
+	return &Response{ID: req.ID, Type: RespDone,
+		ElapsedUs: elapsed.Microseconds(), ExecUs: elapsed.Microseconds()}, nil
 }
 
 func (ss *session) sendErr(id int64, err error) {

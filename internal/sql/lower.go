@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -585,6 +586,7 @@ func (b *block) sourceNode(s *source, pushed []Expr) (plan.Node, vector.Schema, 
 				return nil, nil, err
 			}
 			f := plan.Filter(node, pred)
+			f.Est = int64(math.Round(s.rows)) // 0 when the catalog has no stats
 			if set, rest := deriveSkipSet(ps, pushed); set != nil {
 				var res *plan.Expr
 				if len(rest) > 0 {

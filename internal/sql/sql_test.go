@@ -216,14 +216,14 @@ func TestExplainGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.TrimLeft(`
-Sort ~14 rows
+Sort ~34 rows
   DXchgUnion->n0
-    Project[2 exprs] ~14 rows
+    Project[2 exprs] ~34 rows
       Aggr(final)[1 keys,1 aggs]
         DXchgHashSplit
           Aggr(partial)[1 keys,1 aggs]
-            HashJoin[0,replicated-build] ~134 rows
-              MScan[sales] (partitioned) pred(sold in [18276,max]) ~134 rows
+            HashJoin[inner,replicated-build] ~338 rows
+              MScan[sales] (partitioned) pred(sold in [18276,max]) ~338 rows
               MScan[regions] (replicated) ~4 rows
 `, "\n")
 	if got != want {
@@ -253,11 +253,11 @@ func TestExplainGoldenMultiConjunct(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.TrimLeft(`
-Project[1 exprs] ~14 rows
+Project[1 exprs] ~1 rows
   Aggr(final)[0 keys,1 aggs]
     DXchgUnion->n0
       Aggr(partial)[0 keys,1 aggs]
-        Select[(($1 + 1) > 12)] ~134 rows
+        Select[(($1 + 1) > 12)] ~1 rows
           MScan[sales] (partitioned) pred(sold in [18276,18306] & amount in [10,95) & id in [1 2 3 500]) ~400 rows
 `, "\n")
 	if got != want {

@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"math"
+
 	"vectorh/internal/sql/joinorder"
 )
 
@@ -32,6 +34,11 @@ const defaultSel = 1.0 / 3
 // estimateRows estimates a base source's output rows after its pushed
 // conjuncts, alongside the unfiltered base-table row count. ok is false when
 // the catalog has no stats for it.
+//
+// Comparisons of one integer-backed column against literals are first
+// intersected into a single [lo, hi] interval per column, so a one-month
+// window `d >= X and d < X + 1 month` is charged its overlap with the
+// column's MinMax range once, not as two independent half-ranges.
 func (b *block) estimateRows(s *source, pushed []Expr) (rows, base float64, ok bool) {
 	if s.table == "" {
 		return 0, 0, false
@@ -47,12 +54,35 @@ func (b *block) estimateRows(s *source, pushed []Expr) (rows, base float64, ok b
 	base = float64(n)
 	rows = base
 	cs, hasCS := b.cat.(columnStats)
+	type interval struct{ lo, hi, colLo, colHi int64 }
+	var cols []string // first-seen order, for a deterministic product
+	ranges := make(map[string]*interval)
 	for _, c := range pushed {
+		if hasCS {
+			if col, lo, hi, isRange := rangeConj(c); isRange {
+				if clo, chi, known := cs.ColumnRange(s.table, col); known && chi >= clo {
+					iv := ranges[col]
+					if iv == nil {
+						iv = &interval{lo: clo, hi: chi, colLo: clo, colHi: chi}
+						ranges[col] = iv
+						cols = append(cols, col)
+					}
+					iv.lo, iv.hi = max(iv.lo, lo), min(iv.hi, hi)
+					continue
+				}
+			}
+		}
 		sel := defaultSel
 		if hasCS {
 			sel = conjSelectivity(s.table, c, cs)
 		}
 		rows *= sel
+	}
+	// The uniform-distribution overlap fraction mirrors what the scan-level
+	// MinMax skipping achieves physically.
+	for _, col := range cols {
+		iv := ranges[col]
+		rows *= max(0, float64(iv.hi-iv.lo)+1) / (float64(iv.colHi-iv.colLo) + 1)
 	}
 	if rows < 1 {
 		rows = 1
@@ -60,88 +90,73 @@ func (b *block) estimateRows(s *source, pushed []Expr) (rows, base float64, ok b
 	return rows, base, true
 }
 
-// conjSelectivity estimates one conjunct's selectivity over its base table,
-// from the MinMax range of the referenced column when the conjunct is a
-// literal comparison over an integer-backed column (ints and dates), and the
-// 1/3 default otherwise. The uniform-distribution overlap fraction mirrors
-// what the scan-level MinMax skipping achieves physically.
-func conjSelectivity(table string, c Expr, cs columnStats) float64 {
-	rangeSel := func(col *ColRef, frac func(lo, hi int64) float64) float64 {
-		lo, hi, ok := cs.ColumnRange(table, col.Name)
-		if !ok || hi < lo {
-			return defaultSel
-		}
-		f := frac(lo, hi)
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
-		return f
-	}
-	width := func(lo, hi int64) float64 { return float64(hi-lo) + 1 }
-
+// rangeConj recognizes a comparison of a column against integer-backed
+// literals (ints and dates) — =, <, <=, >, >= in either orientation, or
+// BETWEEN — and returns the inclusive value interval it admits.
+func rangeConj(c Expr) (col string, lo, hi int64, ok bool) {
+	lo, hi = math.MinInt64, math.MaxInt64
 	switch x := c.(type) {
 	case *BinExpr:
-		col, okCol := x.L.(*ColRef)
+		cr, okCol := x.L.(*ColRef)
 		lit, okLit := litOf(x.R)
 		op := x.Op
 		if !okCol || !okLit {
-			if col, okCol = x.R.(*ColRef); !okCol {
-				return defaultSel
+			if cr, okCol = x.R.(*ColRef); !okCol {
+				return "", 0, 0, false
 			}
 			if lit, okLit = litOf(x.L); !okLit {
-				return defaultSel
+				return "", 0, 0, false
 			}
 			op = flipCmp(op)
 		}
 		if lit.cls != classInt {
-			return defaultSel
+			return "", 0, 0, false
 		}
 		switch op {
 		case "=":
-			return rangeSel(col, func(lo, hi int64) float64 { return 1 / width(lo, hi) })
+			lo, hi = lit.i, lit.i
 		case "<":
-			return rangeSel(col, func(lo, hi int64) float64 { return float64(lit.i-lo) / width(lo, hi) })
+			hi = lit.i - 1
 		case "<=":
-			return rangeSel(col, func(lo, hi int64) float64 { return float64(lit.i-lo+1) / width(lo, hi) })
+			hi = lit.i
 		case ">":
-			return rangeSel(col, func(lo, hi int64) float64 { return float64(hi-lit.i) / width(lo, hi) })
+			lo = lit.i + 1
 		case ">=":
-			return rangeSel(col, func(lo, hi int64) float64 { return float64(hi-lit.i+1) / width(lo, hi) })
+			lo = lit.i
+		default:
+			return "", 0, 0, false
 		}
-		return defaultSel
+		return cr.Name, lo, hi, true
 	case *BetweenExpr:
-		col, okCol := x.E.(*ColRef)
-		lo, okLo := litOf(x.Lo)
-		hi, okHi := litOf(x.Hi)
-		if !okCol || !okLo || !okHi || lo.cls != classInt || hi.cls != classInt {
-			return defaultSel
+		cr, okCol := x.E.(*ColRef)
+		l, okLo := litOf(x.Lo)
+		h, okHi := litOf(x.Hi)
+		if !okCol || !okLo || !okHi || l.cls != classInt || h.cls != classInt {
+			return "", 0, 0, false
 		}
-		return rangeSel(col, func(clo, chi int64) float64 {
-			a, z := lo.i, hi.i
-			if a < clo {
-				a = clo
-			}
-			if z > chi {
-				z = chi
-			}
-			return (float64(z-a) + 1) / width(clo, chi)
-		})
-	case *InExpr:
-		if x.Not {
-			return defaultSel
-		}
-		col, okCol := x.E.(*ColRef)
-		if !okCol || len(x.Ints) == 0 {
-			return defaultSel
-		}
-		return rangeSel(col, func(lo, hi int64) float64 {
-			return float64(len(x.Ints)) / width(lo, hi)
-		})
+		return cr.Name, l.i, h.i, true
 	}
-	return defaultSel
+	return "", 0, 0, false
+}
+
+// conjSelectivity estimates the selectivity of a conjunct that is not a
+// literal range over one column (those are intersected by estimateRows): an
+// IN list over an integer-backed column is charged its share of the column's
+// MinMax width, anything else the 1/3 default.
+func conjSelectivity(table string, c Expr, cs columnStats) float64 {
+	x, isIn := c.(*InExpr)
+	if !isIn || x.Not || len(x.Ints) == 0 {
+		return defaultSel
+	}
+	col, okCol := x.E.(*ColRef)
+	if !okCol {
+		return defaultSel
+	}
+	lo, hi, ok := cs.ColumnRange(table, col.Name)
+	if !ok || hi < lo {
+		return defaultSel
+	}
+	return min(1, float64(len(x.Ints))/(float64(hi-lo)+1))
 }
 
 // distinctEst estimates the distinct values of a join-key column: the
